@@ -32,7 +32,6 @@ import (
 	"github.com/gmrl/househunt/internal/core"
 	"github.com/gmrl/househunt/internal/faults"
 	"github.com/gmrl/househunt/internal/nest"
-	"github.com/gmrl/househunt/internal/rng"
 	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/trace"
 )
@@ -456,8 +455,7 @@ func (c *Colony) Run() (*Result, error) {
 		Concurrent:      c.cfg.concurrent,
 	}
 
-	// The fault knobs lower to a declarative faults.Spec (draw-identical to
-	// the legacy faults.Plan wrapper at the same salt); a spec that is the
+	// The fault knobs lower to a declarative faults.Spec; a spec that is the
 	// sole wrapper rides on cfg.Wrap directly, keeping the config eligible
 	// for the batch engine's fault lanes. Asynchrony remains scalar-only.
 	var spec faults.Spec
@@ -471,24 +469,21 @@ func (c *Colony) Run() (*Result, error) {
 			Salt:              1001,
 		}
 	}
-	var asyncWrap core.WrapFunc
-	if c.cfg.jitterP > 0 || c.cfg.maxDelay > 0 {
-		plan := async.Plan{HoldP: c.cfg.jitterP, MaxDelay: c.cfg.maxDelay}
-		asyncWrap = core.WrapFunc(plan.Apply(rng.New(c.cfg.seed).Split(1002)))
-	}
+	jitter := async.Plan{HoldP: c.cfg.jitterP, MaxDelay: c.cfg.maxDelay, Salt: 1002}
+	jittered := c.cfg.jitterP > 0 || c.cfg.maxDelay > 0
 	switch {
-	case spec.Enabled() && asyncWrap != nil:
+	case spec.Enabled() && jittered:
 		runCfg.Wrap = core.WrapFunc(func(agents []sim.Agent) ([]sim.Agent, error) {
 			agents, err := spec.WrapAgents(c.cfg.seed, agents)
 			if err != nil {
 				return nil, err
 			}
-			return asyncWrap(agents)
+			return jitter.WrapAgents(c.cfg.seed, agents)
 		})
 	case spec.Enabled():
 		runCfg.Wrap = spec
-	case asyncWrap != nil:
-		runCfg.Wrap = asyncWrap
+	case jittered:
+		runCfg.Wrap = jitter
 	}
 
 	var (

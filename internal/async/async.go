@@ -133,36 +133,41 @@ func (j *Jitter) Faulty() bool {
 // instrumentation for drift measurements.
 func (j *Jitter) LogicalRound() int { return j.logical }
 
-// Plan wraps a whole colony with independent jitter, for core.RunConfig.Wrap.
-// Delay staggers wake-up: ant i is additionally held for a uniform number of
-// rounds in [0, MaxDelay].
+// Plan wraps a whole colony with independent jitter; it implements
+// core.AgentWrapper for core.RunConfig.Wrap. Delay staggers wake-up: ant i is
+// additionally held for a uniform number of rounds in [0, MaxDelay].
 type Plan struct {
 	// HoldP is the per-round hold probability applied to every ant.
 	HoldP float64
 	// MaxDelay is the maximum staggered wake-up delay in rounds.
 	MaxDelay int
+	// Salt is the Split index of the jitter stream: the colony's randomness
+	// is drawn from rng.New(seed).Split(Salt) under the run's root seed.
+	Salt uint64
 }
 
-// Apply returns a colony wrapper implementing the plan with randomness from
-// src.
-func (p Plan) Apply(src *rng.Source) func([]sim.Agent) ([]sim.Agent, error) {
-	return func(agents []sim.Agent) ([]sim.Agent, error) {
-		if p.HoldP < 0 || p.HoldP >= 1 {
-			return nil, fmt.Errorf("async: hold probability %v outside [0,1)", p.HoldP)
-		}
-		if p.MaxDelay < 0 {
-			return nil, fmt.Errorf("async: negative MaxDelay %d", p.MaxDelay)
-		}
-		for i, a := range agents {
-			j, err := NewJitter(a, p.HoldP, src.Split(uint64(i)))
-			if err != nil {
-				return nil, err
-			}
-			if p.MaxDelay > 0 {
-				j.initialHolds = src.Intn(p.MaxDelay + 1)
-			}
-			agents[i] = j
-		}
-		return agents, nil
+// WrapAgents implements core.AgentWrapper. Every call draws from a fresh
+// rng.New(seed).Split(Salt), so a plan is a pure value: one Plan can wrap
+// concurrent replicates, and a replicate wraps identically however often it
+// is rebuilt. Ant i jitters on the stream's Split(i) and draws its wake-up
+// delay from the stream itself, in ant order.
+func (p Plan) WrapAgents(seed uint64, agents []sim.Agent) ([]sim.Agent, error) {
+	if p.HoldP < 0 || p.HoldP >= 1 {
+		return nil, fmt.Errorf("async: hold probability %v outside [0,1)", p.HoldP)
 	}
+	if p.MaxDelay < 0 {
+		return nil, fmt.Errorf("async: negative MaxDelay %d", p.MaxDelay)
+	}
+	src := rng.New(seed).Split(p.Salt)
+	for i, a := range agents {
+		j, err := NewJitter(a, p.HoldP, src.Split(uint64(i)))
+		if err != nil {
+			return nil, err
+		}
+		if p.MaxDelay > 0 {
+			j.initialHolds = src.Intn(p.MaxDelay + 1)
+		}
+		agents[i] = j
+	}
+	return agents, nil
 }

@@ -113,13 +113,13 @@ func TestSimpleConvergesUnderJitter(t *testing.T) {
 	t.Parallel()
 	// §6: Algorithm 3 should tolerate modest clock drift.
 	env := sim.MustEnvironment([]float64{1, 0, 1})
-	plan := Plan{HoldP: 0.15, MaxDelay: 4}
+	plan := Plan{HoldP: 0.15, MaxDelay: 4, Salt: 101}
 	solved := 0
 	const reps = 6
 	for seed := uint64(1); seed <= reps; seed++ {
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: 200, Env: env, Seed: seed, MaxRounds: 4000,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(101))),
+			Wrap: plan,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -140,13 +140,14 @@ func TestOptimalDegradesUnderJitter(t *testing.T) {
 	// shears apart; we verify it converges strictly less reliably than
 	// Algorithm 3 under the identical perturbation (E14 quantifies this).
 	env := sim.MustEnvironment([]float64{1, 1})
-	plan := Plan{HoldP: 0.25}
+	planO := Plan{HoldP: 0.25, Salt: 103}
+	planS := Plan{HoldP: 0.25, Salt: 104}
 	const reps = 8
 	solvedOptimal, solvedSimple := 0, 0
 	for seed := uint64(1); seed <= reps; seed++ {
 		resO, err := core.Run(algo.Optimal{}, core.RunConfig{
 			N: 128, Env: env, Seed: seed, MaxRounds: 3000,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(103))),
+			Wrap: planO,
 		})
 		if err != nil {
 			t.Fatalf("optimal seed %d: %v", seed, err)
@@ -156,7 +157,7 @@ func TestOptimalDegradesUnderJitter(t *testing.T) {
 		}
 		resS, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: 128, Env: env, Seed: seed, MaxRounds: 3000,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(104))),
+			Wrap: planS,
 		})
 		if err != nil {
 			t.Fatalf("simple seed %d: %v", seed, err)
@@ -181,13 +182,13 @@ func TestPlanApplyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Plan{HoldP: 1.5}).Apply(rng.New(1))(agents); err == nil {
+	if _, err := (Plan{HoldP: 1.5}).WrapAgents(1, agents); err == nil {
 		t.Fatal("invalid hold probability applied")
 	}
-	if _, err := (Plan{MaxDelay: -2}).Apply(rng.New(1))(agents); err == nil {
+	if _, err := (Plan{MaxDelay: -2}).WrapAgents(1, agents); err == nil {
 		t.Fatal("negative delay applied")
 	}
-	wrapped, err := (Plan{HoldP: 0.1, MaxDelay: 3}).Apply(rng.New(2))(agents)
+	wrapped, err := (Plan{HoldP: 0.1, MaxDelay: 3}).WrapAgents(2, agents)
 	if err != nil || len(wrapped) != 4 {
 		t.Fatalf("valid plan failed: %v", err)
 	}

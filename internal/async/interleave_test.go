@@ -118,7 +118,7 @@ func TestPlanInterleavingDeterminism(t *testing.T) {
 	run := func() core.Result {
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: 150, Env: env, Seed: 31, MaxRounds: 3000,
-			Wrap: core.WrapFunc((Plan{HoldP: 0.2, MaxDelay: 6}).Apply(rng.New(31).Split(101))),
+			Wrap: Plan{HoldP: 0.2, MaxDelay: 6, Salt: 101},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -68,9 +68,8 @@ type AgentWrapper interface {
 	WrapAgents(seed uint64, agents []sim.Agent) ([]sim.Agent, error)
 }
 
-// WrapFunc adapts a bare wrapper function (one that owns its randomness, like
-// the faults.Plan and async.Plan builders) to the AgentWrapper interface,
-// ignoring the seed.
+// WrapFunc adapts a bare wrapper function (one that owns its randomness or
+// composes other wrappers) to the AgentWrapper interface, ignoring the seed.
 type WrapFunc func([]sim.Agent) ([]sim.Agent, error)
 
 // WrapAgents implements AgentWrapper.

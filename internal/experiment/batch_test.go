@@ -236,3 +236,50 @@ func TestMeasureConvergenceScalarFallback(t *testing.T) {
 		t.Fatalf("Spreader with two good nests: ok=%v reason=%q, want scalar fallback with a reason", ok, reason)
 	}
 }
+
+// TestReroutedTablesBatchMatchScalar is the table layer of the differential
+// harness for the experiments whose replicate loops run through runReps with
+// their own per-rep seeds: each report must render byte-identically with the
+// batch engine off and on. E13, E18 and E20 must also really run batched —
+// every sweep they start has to compile — so a silent scalar fallback cannot
+// pass as "equal". E14's jitter wrapper is scalar-only by design, so only
+// its unjittered cells switch engines. Not parallel: SetBatchEngine and
+// repsStarted are package globals.
+func TestReroutedTablesBatchMatchScalar(t *testing.T) {
+	defer func() {
+		SetBatchEngine(true)
+		repsStarted = nil
+	}()
+	render := func(id string) string {
+		rep, err := RunExperiment(id, ScaleSmall)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return rep.String()
+	}
+	for _, tc := range []struct {
+		id        string
+		mustBatch bool
+	}{{"E13", true}, {"E14", false}, {"E18", true}, {"E20", true}} {
+		SetBatchEngine(false)
+		scalar := render(tc.id)
+
+		SetBatchEngine(true)
+		sweeps := 0
+		repsStarted = func(a core.Algorithm, cfg core.RunConfig) {
+			sweeps++
+			if _, ok, reason := core.CompileForBatch(a, cfg); tc.mustBatch && !ok {
+				t.Errorf("%s: %s sweep fell back to the scalar engine: %s", tc.id, a.Name(), reason)
+			}
+		}
+		batched := render(tc.id)
+		repsStarted = nil
+
+		if sweeps == 0 {
+			t.Fatalf("%s: no replicate sweep went through runReps", tc.id)
+		}
+		if batched != scalar {
+			t.Fatalf("%s: report differs between engines:\nscalar:\n%s\nbatch:\n%s", tc.id, scalar, batched)
+		}
+	}
+}

@@ -16,16 +16,17 @@ import (
 	"sync/atomic"
 
 	"github.com/gmrl/househunt/internal/core"
+	"github.com/gmrl/househunt/internal/sim"
 	"github.com/gmrl/househunt/internal/stats"
 	"github.com/gmrl/househunt/internal/workload"
 )
 
 // batchDisabled gates the batch-engine fast path for replicate loops. The
 // batch engine is bit-identical to the scalar path for eligible
-// (algorithm, config) pairs (see core.RunBatch), so it is on by default and
-// every eligible measurement uses it automatically; SetBatchEngine(false)
-// forces the scalar path, which the before/after benchmarks and the
-// equivalence tests use.
+// (algorithm, config) pairs (see core.CompileForBatch), so it is on by
+// default and every eligible measurement uses it automatically;
+// SetBatchEngine(false) forces the scalar path, which the before/after
+// benchmarks and the equivalence tests use.
 var batchDisabled atomic.Bool
 
 // SetBatchEngine toggles the batch-engine fast path (default enabled).
@@ -59,26 +60,9 @@ func MeasureConvergence(algo core.Algorithm, cfg core.RunConfig, reps int, tag s
 	if err := validateMeasurement(algo, reps); err != nil {
 		return ConvergencePoint{}, err
 	}
-	seeds := convergenceSeeds(cfg, reps, tag)
-
-	var runs []core.Result
-	if BatchEngineEnabled() {
-		// Batch fast path: one struct-of-arrays sweep over all replicates.
-		// Ineligible (algo, cfg) pairs fall through to the scalar loop.
-		batched, ok, err := core.RunBatch(algo, cfg, seeds)
-		if err != nil {
-			return ConvergencePoint{}, fmt.Errorf("experiment: batch sweep: %w", err)
-		}
-		if ok {
-			runs = batched
-		}
-	}
-	if runs == nil {
-		var err error
-		runs, err = runScalarReps(algo, cfg, seeds)
-		if err != nil {
-			return ConvergencePoint{}, err
-		}
+	runs, _, err := runReps(algo, cfg, repSeeds(reps, tag, cfg.N, cfg.Env.K()), nil)
+	if err != nil {
+		return ConvergencePoint{}, err
 	}
 	return aggregatePoint(algo, cfg, runs), nil
 }
@@ -94,14 +78,44 @@ func validateMeasurement(algo core.Algorithm, reps int) error {
 	return nil
 }
 
-// convergenceSeeds derives the per-rep seeds; cfg.Seed is ignored by design
-// (each rep's seed is a pure function of tag, cell, and rep index).
-func convergenceSeeds(cfg core.RunConfig, reps int, tag string) []uint64 {
+// repSeeds derives one seed per replicate, workload.SeedFor(tag, a, b, rep)
+// for rep = 1..reps: each rep's seed is a pure function of the tag, the two
+// cell coordinates and the rep index, never of a config's Seed.
+func repSeeds(reps int, tag string, a, b int) []uint64 {
 	seeds := make([]uint64, reps)
 	for rep := range seeds {
-		seeds[rep] = workload.SeedFor(tag, cfg.N, cfg.Env.K(), rep+1)
+		seeds[rep] = workload.SeedFor(tag, a, b, rep+1)
 	}
 	return seeds
+}
+
+// repsStarted, when non-nil, sees every (algo, cfg) runReps is handed. It
+// lets the differential tests prove that a table really ran batched rather
+// than silently falling back to the scalar loop.
+var repsStarted func(core.Algorithm, core.RunConfig)
+
+// runReps executes one replicate of (algo, cfg) per seed — cfg.Seed is
+// ignored — and returns the results in seed order. It is the one dispatch
+// site of every replicate sweep: when the batch engine is enabled and the
+// config compiles (see core.CompileForBatch) it runs one struct-of-arrays
+// sweep with obs attached (nil for none); otherwise it falls back to the
+// parallel scalar loop and obs sees nothing. The two paths are
+// bit-identical; the boolean reports whether the batch engine ran.
+func runReps(algo core.Algorithm, cfg core.RunConfig, seeds []uint64, obs sim.BatchObserver) ([]core.Result, bool, error) {
+	if repsStarted != nil {
+		repsStarted(algo, cfg)
+	}
+	if BatchEngineEnabled() {
+		runs, ok, err := core.RunBatchObserved(algo, cfg, seeds, obs)
+		if err != nil {
+			return nil, false, fmt.Errorf("experiment: batch sweep: %w", err)
+		}
+		if ok {
+			return runs, true, nil
+		}
+	}
+	runs, err := runScalarReps(algo, cfg, seeds)
+	return runs, false, err
 }
 
 // runScalarReps executes one scalar replicate per seed, parallel across CPUs.

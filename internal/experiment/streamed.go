@@ -80,58 +80,38 @@ func MeasureConvergenceStreamed(algo core.Algorithm, cfg core.RunConfig, reps in
 	if err := validateMeasurement(algo, reps); err != nil {
 		return ConvergencePoint{}, nil, err
 	}
-	seeds := convergenceSeeds(cfg, reps, tag)
 	dist := &StreamedDistributions{RoundsQ: stats.MustQuantileSketch(DefaultSketchAlpha)}
-
-	if BatchEngineEnabled() {
-		runs, ok, err := runBatchStreamed(algo, cfg, seeds, dist)
+	var (
+		coll *trace.Collector
+		obs  sim.BatchObserver
+	)
+	if k := cfg.Env.K(); k > 0 { // an empty environment is the runner's error to report
+		var err error
+		coll, err = trace.NewCollector(sim.StreamRowWidth(k), streamRingSlots, &foldSink{qual: cfg.Env.Qualities(), d: dist})
 		if err != nil {
-			return ConvergencePoint{}, nil, err
+			return ConvergencePoint{}, nil, fmt.Errorf("experiment: building telemetry collector: %w", err)
 		}
-		if ok {
-			dist.Streamed = true
-			return aggregatePoint(algo, cfg, runs), dist, nil
+		defer coll.Close()
+		if obs, err = sim.NewStreamObserver(coll, k); err != nil {
+			return ConvergencePoint{}, nil, fmt.Errorf("experiment: building stream observer: %w", err)
 		}
 	}
-
-	runs, err := runScalarReps(algo, cfg, seeds)
+	runs, batched, err := runReps(algo, cfg, repSeeds(reps, tag, cfg.N, cfg.Env.K()), obs)
 	if err != nil {
 		return ConvergencePoint{}, nil, err
 	}
-	for _, res := range runs {
-		dist.RoundsObserved += uint64(res.Rounds)
-		if res.Solved {
-			dist.Rounds.Add(float64(res.Rounds))
-			dist.RoundsQ.Add(float64(res.Rounds))
-			dist.Quality.Add(res.WinnerQuality)
+	if batched {
+		coll.Close() // drain the tail before the caller reads dist
+		dist.Streamed = true
+	} else {
+		for _, res := range runs {
+			dist.RoundsObserved += uint64(res.Rounds)
+			if res.Solved {
+				dist.Rounds.Add(float64(res.Rounds))
+				dist.RoundsQ.Add(float64(res.Rounds))
+				dist.Quality.Add(res.WinnerQuality)
+			}
 		}
 	}
 	return aggregatePoint(algo, cfg, runs), dist, nil
-}
-
-// runBatchStreamed wires collector → observer → batch engine for one cell.
-// The boolean mirrors core.RunBatchObserved's eligibility.
-func runBatchStreamed(algo core.Algorithm, cfg core.RunConfig, seeds []uint64, dist *StreamedDistributions) ([]core.Result, bool, error) {
-	k := cfg.Env.K()
-	if k == 0 {
-		return nil, false, nil // ineligible; the scalar path reports the error
-	}
-	coll, err := trace.NewCollector(sim.StreamRowWidth(k), streamRingSlots, &foldSink{qual: cfg.Env.Qualities(), d: dist})
-	if err != nil {
-		return nil, false, fmt.Errorf("experiment: building telemetry collector: %w", err)
-	}
-	defer coll.Close()
-	obs, err := sim.NewStreamObserver(coll, k)
-	if err != nil {
-		return nil, false, fmt.Errorf("experiment: building stream observer: %w", err)
-	}
-	runs, ok, err := core.RunBatchObserved(algo, cfg, seeds, obs)
-	if err != nil {
-		return nil, false, fmt.Errorf("experiment: streamed batch sweep: %w", err)
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	coll.Close() // drain the tail before the caller reads dist
-	return runs, true, nil
 }

@@ -83,7 +83,7 @@ func TestMeasureConvergenceStreamedMatchesScalar(t *testing.T) {
 			}
 
 			// Post-hoc oracle: the same sweep's per-rep results.
-			runs, ok, err := core.RunBatch(tc.algo, cfg, convergenceSeeds(cfg, reps, tag))
+			runs, ok, err := core.RunBatch(tc.algo, cfg, repSeeds(reps, tag, cfg.N, cfg.Env.K()))
 			if err != nil || !ok {
 				t.Fatalf("oracle sweep: ok=%v err=%v", ok, err)
 			}

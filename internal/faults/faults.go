@@ -183,60 +183,3 @@ func (b *ByzantineAnt) Observe(_ int, out sim.Outcome) {
 // Faulty implements the core.Faulty contract: Byzantine ants never count
 // toward convergence.
 func (b *ByzantineAnt) Faulty() bool { return true }
-
-// Plan describes a fault-injection configuration for a colony.
-type Plan struct {
-	// CrashFraction of the colony crashes at a uniformly random round in
-	// [1, CrashWindow].
-	CrashFraction float64
-	// CrashWindow is the last round by which scheduled crashes fire;
-	// default 64 if <= 0 and crashes are requested.
-	CrashWindow int
-	// ByzantineFraction of the colony is replaced by luring adversaries.
-	ByzantineFraction float64
-}
-
-// Validate checks the plan's fractions.
-func (p Plan) Validate() error {
-	if p.CrashFraction < 0 || p.ByzantineFraction < 0 {
-		return fmt.Errorf("faults: negative fault fraction %+v", p)
-	}
-	if p.CrashFraction+p.ByzantineFraction > 1 {
-		return fmt.Errorf("faults: fault fractions sum to %v > 1",
-			p.CrashFraction+p.ByzantineFraction)
-	}
-	return nil
-}
-
-// Apply wraps a built colony according to the plan, choosing victims
-// uniformly at random from src. It returns a wrapper function suitable for
-// core.RunConfig.Wrap.
-func (p Plan) Apply(src *rng.Source) func([]sim.Agent) ([]sim.Agent, error) {
-	return func(agents []sim.Agent) ([]sim.Agent, error) {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		n := len(agents)
-		nCrash := int(p.CrashFraction * float64(n))
-		nByz := int(p.ByzantineFraction * float64(n))
-		window := p.CrashWindow
-		if window <= 0 {
-			window = 64
-		}
-		perm := src.Perm(n)
-		idx := 0
-		for ; idx < nCrash; idx++ {
-			victim := perm[idx]
-			crashed, err := wrapCrash(agents[victim], 1+src.Intn(window))
-			if err != nil {
-				return nil, err
-			}
-			agents[victim] = crashed
-		}
-		for ; idx < nCrash+nByz; idx++ {
-			victim := perm[idx]
-			agents[victim] = NewByzantineAnt(src.Split(uint64(victim)))
-		}
-		return agents, nil
-	}
-}

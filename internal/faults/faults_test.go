@@ -92,13 +92,13 @@ func TestByzantineAntHuntsBadNestThenLures(t *testing.T) {
 
 func TestPlanValidate(t *testing.T) {
 	t.Parallel()
-	if err := (Plan{CrashFraction: -0.1}).Validate(); err == nil {
+	if err := (Spec{CrashFraction: -0.1}).Validate(); err == nil {
 		t.Fatal("negative fraction accepted")
 	}
-	if err := (Plan{CrashFraction: 0.6, ByzantineFraction: 0.6}).Validate(); err == nil {
+	if err := (Spec{CrashFraction: 0.6, ByzantineFraction: 0.6}).Validate(); err == nil {
 		t.Fatal("over-unity fractions accepted")
 	}
-	if err := (Plan{CrashFraction: 0.1, ByzantineFraction: 0.1}).Validate(); err != nil {
+	if err := (Spec{CrashFraction: 0.1, ByzantineFraction: 0.1}).Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 }
@@ -108,13 +108,13 @@ func TestSimpleSurvivesCrashFaults(t *testing.T) {
 	// §6 claim: a small crash fraction must not stop the correct ants from
 	// converging on a good nest.
 	env := sim.MustEnvironment([]float64{1, 0, 1, 0})
-	plan := Plan{CrashFraction: 0.1, CrashWindow: 40}
+	spec := Spec{CrashFraction: 0.1, CrashWindow: 40, Salt: 77}
 	solved := 0
 	const reps = 6
 	for seed := uint64(1); seed <= reps; seed++ {
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: 200, Env: env, Seed: seed,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(77))),
+			Wrap: spec,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -139,10 +139,10 @@ func TestSimpleSurvivesFewByzantine(t *testing.T) {
 	okRuns := 0
 	const reps = 6
 	for seed := uint64(1); seed <= reps; seed++ {
-		plan := Plan{ByzantineFraction: 0.05}
+		spec := Spec{ByzantineFraction: 0.05, Salt: 78}
 		res, err := core.Run(algo.Simple{}, core.RunConfig{
 			N: n, Env: env, Seed: seed, MaxRounds: 1200,
-			Wrap: core.WrapFunc(plan.Apply(rng.New(seed).Split(78))),
+			Wrap: spec,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -170,8 +170,8 @@ func TestPlanApplyCountsVictims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Plan{CrashFraction: 0.2, ByzantineFraction: 0.1, CrashWindow: 10}
-	wrapped, err := plan.Apply(rng.New(9))(agents)
+	plan := Spec{CrashFraction: 0.2, ByzantineFraction: 0.1, CrashWindow: 10}
+	wrapped, err := plan.WrapAgents(9, agents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPlanApplyRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Plan{CrashFraction: 2}).Apply(rng.New(1))(agents); err == nil {
+	if _, err := (Spec{CrashFraction: 2}).WrapAgents(1, agents); err == nil {
 		t.Fatal("invalid plan applied")
 	}
 }

@@ -97,9 +97,10 @@ func wrapSleep(inner sim.Agent, wakeRound int) (sim.Agent, error) {
 // same ants crash at the same rounds, turn Byzantine, or sleep until the same
 // wake rounds under either engine.
 //
-// Spec supersedes Plan: a Plan{...}.Apply(rng.New(seed).Split(salt)) wrapper
-// draws exactly like Spec{..., Salt: salt} with SleepFraction 0, but only
-// Spec-wrapped configs are batch-eligible.
+// With SleepFraction 0 the assignment is exactly the one the retired Plan
+// wrapper drew from the same stream (pinned by
+// TestSpecMatchesLegacyPlanStream), so fault tables first measured under
+// Plan reproduce unchanged.
 type Spec struct {
 	// CrashFraction of the colony crashes at a uniformly random round in
 	// [1, CrashWindow] (§6 crash faults).
@@ -204,9 +205,9 @@ func (s Spec) WrapAgents(seed uint64, agents []sim.Agent) ([]sim.Agent, error) {
 		case crashRound[i] > 0:
 			agents[i], err = wrapCrash(agents[i], int(crashRound[i]))
 		case byz[i] != 0:
-			// The per-victim stream mirrors Plan.Apply's split; the adversary
-			// never draws from it (see ByzantineAnt), so the batch lane needs
-			// no counterpart.
+			// The per-victim stream is split off the fault stream; the
+			// adversary never draws from it (see ByzantineAnt), so the batch
+			// lane needs no counterpart.
 			agents[i] = NewByzantineAnt(src.Split(uint64(i)))
 		case wakeRound[i] > 0:
 			agents[i], err = wrapSleep(agents[i], int(wakeRound[i]))
