@@ -120,34 +120,45 @@ func runReps(algo core.Algorithm, cfg core.RunConfig, seeds []uint64, obs sim.Ba
 
 // runScalarReps executes one scalar replicate per seed, parallel across CPUs.
 func runScalarReps(algo core.Algorithm, cfg core.RunConfig, seeds []uint64) ([]core.Result, error) {
-	type repResult struct {
-		res core.Result
-		err error
-	}
-	results := make([]repResult, len(seeds))
+	return parallelRows(len(seeds), func(rep int) (core.Result, error) {
+		repCfg := cfg
+		repCfg.Seed = seeds[rep]
+		res, err := core.Run(algo, repCfg)
+		if err != nil {
+			return core.Result{}, fmt.Errorf("experiment: rep %d: %w", rep, err)
+		}
+		return res, nil
+	})
+}
+
+// parallelRows computes f(0), …, f(n-1) on at most maxParallelism() workers
+// and returns the results in index order; on failure it returns the error of
+// the lowest failing index. Each f(i) must be independent of the others.
+// Workers claim indices from n-1 down to 0, so a caller whose rows grow with
+// the index (E1's pools, E7's colonies) starts its heaviest row first rather
+// than leaving one worker alone with it at the end.
+func parallelRows[T any](n int, f func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	next.Store(int64(n))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallelism())
-	for rep := range seeds {
+	for w := min(maxParallelism(), n); w > 0; w-- {
 		wg.Add(1)
-		go func(rep int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			repCfg := cfg
-			repCfg.Seed = seeds[rep]
-			res, err := core.Run(algo, repCfg)
-			results[rep] = repResult{res: res, err: err}
-		}(rep)
+			for i := int(next.Add(-1)); i >= 0; i = int(next.Add(-1)) {
+				out[i], errs[i] = f(i)
+			}
+		}()
 	}
 	wg.Wait()
-	runs := make([]core.Result, len(seeds))
-	for rep, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("experiment: rep %d: %w", rep, r.err)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		runs[rep] = r.res
 	}
-	return runs, nil
+	return out, nil
 }
 
 // aggregatePoint reduces per-rep results to a ConvergencePoint.

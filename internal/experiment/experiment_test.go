@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,5 +202,35 @@ func TestMeasureExtinctionLemmas58And59(t *testing.T) {
 	}
 	if _, err := MeasureExtinction(0, 1, 1, 1, 1); err == nil {
 		t.Fatal("invalid parameters accepted")
+	}
+}
+
+// TestParallelRows pins the helper's contract: every result at its own
+// index, and the error of the lowest failing index however the workers
+// interleave.
+func TestParallelRows(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 7, 100} {
+		got, err := parallelRows(n, func(i int) (int, error) { return i * i, nil })
+		if err != nil || len(got) != n {
+			t.Fatalf("n=%d: %d results, err %v", n, len(got), err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("n=%d: result %d = %d, want %d", n, i, v, i*i)
+			}
+		}
+	}
+	errBad := errors.New("bad row")
+	for trial := 0; trial < 20; trial++ {
+		_, err := parallelRows(50, func(i int) (int, error) {
+			if i%7 == 3 {
+				return 0, fmt.Errorf("row %d: %w", i, errBad)
+			}
+			return i, nil
+		})
+		if !errors.Is(err, errBad) || err.Error() != "row 3: bad row" {
+			t.Fatalf("error = %v, want row 3's", err)
+		}
 	}
 }

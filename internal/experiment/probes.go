@@ -157,8 +157,9 @@ type DeltaPoint struct {
 // For each trial it computes nest 0's net population change (cross-nest
 // captures only — intra-nest captures cancel) and tallies the sign.
 // Lemma 4.1 claims P[Y<0] = P[Y>0]; Lemma 4.2 claims P[Y<0] >= 1/66 when
-// nest 0 is not alone.
-func MeasureNestDelta(m sim.Matcher, nestSizes []int, trials int, seed uint64) (DeltaPoint, error) {
+// nest 0 is not alone. The delta is an order-free sum over captured slots,
+// so it folds over m's capture list rather than the whole capture table.
+func MeasureNestDelta(m sim.CaptureLister, nestSizes []int, trials int, seed uint64) (DeltaPoint, error) {
 	if len(nestSizes) == 0 {
 		return DeltaPoint{}, fmt.Errorf("experiment: no nests")
 	}
@@ -193,8 +194,9 @@ func MeasureNestDelta(m sim.Matcher, nestSizes []int, trials int, seed uint64) (
 	for trial := 0; trial < trials; trial++ {
 		m.Match(total, active, src, capturedBy, succeeded)
 		delta := 0
-		for t, cb := range capturedBy {
-			if cb < 0 || int(cb) == t {
+		for _, t := range m.Captures() {
+			cb := capturedBy[t]
+			if cb == t {
 				continue
 			}
 			from, to := nestOf[t], nestOf[cb]
@@ -248,12 +250,7 @@ func MeasureInitialGap(n, k, trials int, seed uint64) (GapPoint, error) {
 	var sum float64
 	ties := 0
 	for trial := 0; trial < trials; trial++ {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for a := 0; a < n; a++ {
-			counts[src.Intn(k)]++
-		}
+		src.TallyInto(counts, n)
 		hi, lo := counts[0], counts[1]
 		if lo > hi {
 			hi, lo = lo, hi

@@ -117,26 +117,28 @@ func runE1(scale Scale) (Report, error) {
 		Claim: "Lemma 2.1: an active recruiter with c(0,r) >= 2 succeeds w.p. >= 1/16 = 0.0625",
 		Pass:  true,
 	}
+	fracs := []float64{1.0, 0.5}
+	pts, err := parallelRows(len(pools)*len(fracs), func(i int) (RecruitSuccessPoint, error) {
+		pool, frac := pools[i/len(fracs)], fracs[i%len(fracs)]
+		return MeasureRecruitSuccess(&sim.AlgorithmOneMatcher{}, pool, frac, trials,
+			workload.SeedFor("E1", pool, int(frac*100), 0))
+	})
+	if err != nil {
+		return Report{}, err
+	}
 	tb := stats.NewTable("", "pool", "activeFrac", "trials", "successRate", "wilsonLo", ">=1/16")
 	minRate := 1.0
-	for _, pool := range pools {
-		for _, frac := range []float64{1.0, 0.5} {
-			pt, err := MeasureRecruitSuccess(&sim.AlgorithmOneMatcher{}, pool, frac, trials,
-				workload.SeedFor("E1", pool, int(frac*100), 0))
-			if err != nil {
-				return Report{}, err
-			}
-			ok := pt.WilsonLo >= 1.0/16
-			if !ok {
-				rep.Pass = false
-			}
-			if pt.SuccessRate < minRate {
-				minRate = pt.SuccessRate
-			}
-			tb.AddRow(fmt.Sprintf("%d", pool), fmt.Sprintf("%.1f", frac),
-				fmt.Sprintf("%d", trials), fmt.Sprintf("%.4f", pt.SuccessRate),
-				fmt.Sprintf("%.4f", pt.WilsonLo), fmt.Sprintf("%v", ok))
+	for _, pt := range pts {
+		ok := pt.WilsonLo >= 1.0/16
+		if !ok {
+			rep.Pass = false
 		}
+		if pt.SuccessRate < minRate {
+			minRate = pt.SuccessRate
+		}
+		tb.AddRow(fmt.Sprintf("%d", pt.PoolSize), fmt.Sprintf("%.1f", pt.ActiveFraction),
+			fmt.Sprintf("%d", pt.Trials), fmt.Sprintf("%.4f", pt.SuccessRate),
+			fmt.Sprintf("%.4f", pt.WilsonLo), fmt.Sprintf("%v", ok))
 	}
 	rep.Tables = append(rep.Tables, tb.String())
 	rep.Findings = append(rep.Findings,
@@ -218,18 +220,17 @@ func runE4(scale Scale) (Report, error) {
 		Claim: "Lemma 4.1: a competing nest's one-round delta Y satisfies P[Y<0] = P[Y>0]",
 		Pass:  true,
 	}
+	pts, err := measureNestDeltas("E4", [][]int{{64, 64}, {32, 96}, {16, 48, 64}, {100, 20}}, trials)
+	if err != nil {
+		return Report{}, err
+	}
 	tb := stats.NewTable("", "nestSizes", "P[Y<0]", "P[Y=0]", "P[Y>0]", "|P<0 - P>0|")
-	for _, sizes := range [][]int{{64, 64}, {32, 96}, {16, 48, 64}, {100, 20}} {
-		pt, err := MeasureNestDelta(&sim.AlgorithmOneMatcher{}, sizes, trials,
-			workload.SeedFor("E4", len(sizes), sizes[0], 0))
-		if err != nil {
-			return Report{}, err
-		}
+	for _, pt := range pts {
 		diff := math.Abs(pt.PNeg - pt.PPos)
 		if diff > 0.02 {
 			rep.Pass = false
 		}
-		tb.AddRow(fmt.Sprintf("%v", sizes), fmt.Sprintf("%.4f", pt.PNeg),
+		tb.AddRow(fmt.Sprintf("%v", pt.NestSizes), fmt.Sprintf("%.4f", pt.PNeg),
 			fmt.Sprintf("%.4f", pt.PZero), fmt.Sprintf("%.4f", pt.PPos),
 			fmt.Sprintf("%.4f", diff))
 	}
@@ -247,21 +248,30 @@ func runE5(scale Scale) (Report, error) {
 		Claim: "Lemma 4.2: a competing nest with |C| < c(0,r) shrinks w.p. >= 1/66 ≈ 0.0152 per recruit round",
 		Pass:  true,
 	}
+	pts, err := measureNestDeltas("E5", [][]int{{64, 64}, {32, 96}, {8, 120}, {16, 16, 16, 16}}, trials)
+	if err != nil {
+		return Report{}, err
+	}
 	tb := stats.NewTable("", "nestSizes", "P[Y<0]", ">=1/66")
-	for _, sizes := range [][]int{{64, 64}, {32, 96}, {8, 120}, {16, 16, 16, 16}} {
-		pt, err := MeasureNestDelta(&sim.AlgorithmOneMatcher{}, sizes, trials,
-			workload.SeedFor("E5", len(sizes), sizes[0], 0))
-		if err != nil {
-			return Report{}, err
-		}
+	for _, pt := range pts {
 		ok := pt.PNeg >= 1.0/66
 		if !ok {
 			rep.Pass = false
 		}
-		tb.AddRow(fmt.Sprintf("%v", sizes), fmt.Sprintf("%.4f", pt.PNeg), fmt.Sprintf("%v", ok))
+		tb.AddRow(fmt.Sprintf("%v", pt.NestSizes), fmt.Sprintf("%.4f", pt.PNeg), fmt.Sprintf("%v", ok))
 	}
 	rep.Tables = append(rep.Tables, tb.String())
 	return rep, nil
+}
+
+// measureNestDeltas runs one MeasureNestDelta row per nest-size list, in
+// parallel, each with its own matcher and its tag-derived seed.
+func measureNestDeltas(tag string, rows [][]int, trials int) ([]DeltaPoint, error) {
+	return parallelRows(len(rows), func(i int) (DeltaPoint, error) {
+		sizes := rows[i]
+		return MeasureNestDelta(&sim.AlgorithmOneMatcher{}, sizes, trials,
+			workload.SeedFor(tag, len(sizes), sizes[0], 0))
+	})
 }
 
 // --- E6: Theorem 4.3 — Optimal is O(log n) ---------------------------------
@@ -333,16 +343,20 @@ func runE7(scale Scale) (Report, error) {
 		Claim: "Lemma 5.4: after the search round, E[ε(i,j,1)] >= 1/(3(n-1)); ties occur w.p. < 2/3",
 		Pass:  true,
 	}
+	nks := [][2]int{{64, 2}, {256, 4}, {1024, 8}, {4096, 16}}
+	pts, err := parallelRows(len(nks), func(i int) (GapPoint, error) {
+		n, k := nks[i][0], nks[i][1]
+		return MeasureInitialGap(n, k, trials, workload.SeedFor("E7", n, k, 0))
+	})
+	if err != nil {
+		return Report{}, err
+	}
 	tb := stats.NewTable("", "n", "k", "E[ε]", "bound", "tieRate")
-	for _, nk := range [][2]int{{64, 2}, {256, 4}, {1024, 8}, {4096, 16}} {
-		pt, err := MeasureInitialGap(nk[0], nk[1], trials, workload.SeedFor("E7", nk[0], nk[1], 0))
-		if err != nil {
-			return Report{}, err
-		}
+	for _, pt := range pts {
 		if pt.MeanGap < pt.BoundMin || pt.TieRate >= 2.0/3 {
 			rep.Pass = false
 		}
-		tb.AddRow(fmt.Sprintf("%d", nk[0]), fmt.Sprintf("%d", nk[1]),
+		tb.AddRow(fmt.Sprintf("%d", pt.N), fmt.Sprintf("%d", pt.K),
 			fmt.Sprintf("%.5f", pt.MeanGap), fmt.Sprintf("%.5f", pt.BoundMin),
 			fmt.Sprintf("%.4f", pt.TieRate))
 	}

@@ -56,13 +56,15 @@ var Sentinels = map[string]bool{
 }
 
 // drawMethods are the rng.Source methods that advance the stream.
-// Split/SplitInto/Reseed derive or seed streams without consuming the
-// parent's draw sequence and are deliberately absent.
+// Split/SplitInto/Reseed/State derive, seed or read streams without
+// consuming the parent's draw sequence and are deliberately absent; a test
+// fails on any exported Source method that is in neither list.
 var drawMethods = map[string]bool{
 	"Uint64": true, "Uint64n": true, "Int63": true, "Intn": true,
 	"Float64": true, "Bernoulli": true, "Perm": true, "PermInto": true,
 	"PermInto32": true, "PermAdvance": true, "Shuffle": true,
 	"Binomial": true, "Geometric": true, "NormFloat64": true, "Pick": true,
+	"TallyInto": true,
 }
 
 var Analyzer = &analysis.Analyzer{

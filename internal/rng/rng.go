@@ -134,12 +134,13 @@ func (s *Source) Intn(n int) int {
 // Uint64n returns a uniform integer in [0, n) using Lemire's nearly-divisionless
 // bounded rejection method. It panics if n == 0.
 //
-// The function is split into an inlinable fast path (one multiply, no division)
-// and the rare rejection tail: the permutation and matching loops of the
-// simulator draw bounded integers per ant per round, so keeping the common case
-// call-free is worth the contortion. The draw sequence is identical to the
-// single-body form — the tail consumes additional words only when the first
-// low product falls below n, exactly as before.
+// The function is split into a fast path (one multiply, no division) and the
+// rare rejection tail uint64nReject. Uint64n itself does not inline (the tail
+// inlines into it and the sum exceeds the compiler's budget), so the hot loops
+// that draw bounded integers per element — PermInto32, PermAdvance, TallyInto
+// — inline the fast path by hand and call only the tail. The draw sequence is
+// identical to the single-body form — the tail consumes additional words only
+// when the first low product falls below n, exactly as before.
 //
 //hh:hotpath
 func (s *Source) Uint64n(n uint64) uint64 {
@@ -272,6 +273,29 @@ func (s *Source) PermInto32(dst []int32) []int32 {
 		dst[j] = int32(i)
 	}
 	return dst
+}
+
+// TallyInto zeroes counts and then draws n uniform indices in
+// [0, len(counts)), adding one to counts[i] per draw of i: counts becomes the
+// histogram of n Intn(len(counts)) calls and the stream advances by exactly
+// their words. The bounded draw is fused inline as in PermInto, with the
+// rejection tail shared with Uint64n. It panics if counts is empty, as
+// Intn(0) does.
+//
+//hh:hotpath
+func (s *Source) TallyInto(counts []int, n int) {
+	if len(counts) == 0 {
+		panic("rng: TallyInto called with empty counts")
+	}
+	clear(counts)
+	bound := uint64(len(counts))
+	for a := 0; a < n; a++ {
+		hi, lo := bits.Mul64(s.Uint64(), bound)
+		if lo < bound {
+			hi = s.uint64nReject(hi, lo, bound)
+		}
+		counts[hi]++
+	}
 }
 
 // Shuffle permutes the first n elements using the provided swap function,

@@ -441,3 +441,45 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 		t.Fatal("SplitInto advanced the parent stream")
 	}
 }
+
+// TestTallyIntoMatchesIntn pins TallyInto to the draw sequence it fuses: the
+// histogram and the post-call stream position must equal those of a plain
+// loop of n Intn(len(counts)) calls. Besides seeded streams, the state
+// {1, 0, 0, 0} emits a zero first word, whose low product 0 falls below every
+// non-power-of-two bound's threshold and so drives the rejection tail.
+func TestTallyIntoMatchesIntn(t *testing.T) {
+	t.Parallel()
+	states := [][4]uint64{{1, 0, 0, 0}}
+	for seed := uint64(1); seed <= 8; seed++ {
+		states = append(states, New(seed).State())
+	}
+	for _, st := range states {
+		for _, bound := range []int{1, 2, 3, 7, 16, 1000} {
+			for _, n := range []int{0, 1, 5, 4096} {
+				ref, _ := NewFromState(st)
+				want := make([]int, bound)
+				for a := 0; a < n; a++ {
+					want[ref.Intn(bound)]++
+				}
+				src, _ := NewFromState(st)
+				got := make([]int, bound)
+				got[0] = -3 // TallyInto must clear stale counts
+				src.TallyInto(got, n)
+				if src.State() != ref.State() {
+					t.Fatalf("state %v bound %d n %d: stream position diverged from the Intn loop", st, bound, n)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("state %v bound %d n %d: counts[%d] = %d, Intn loop gives %d", st, bound, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TallyInto on empty counts did not panic")
+		}
+	}()
+	New(1).TallyInto(nil, 1)
+}
